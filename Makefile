@@ -6,11 +6,13 @@
 # objstore, scrub, services/replicate), the allocs/op regression gates
 # for the zero-copy chain hot path and the flow lookup, a short-mode
 # soak smoke, and a short-mode backup smoke. `make test` is the full
-# suite. `make bench` prints the data-plane microbenchmarks with
-# allocation stats and appends a dated before/after summary to
-# BENCH_results.json (via stormbench -fastpath). `make crash` runs the
-# WAL durability-cost sweep and the kill/replay scenarios (stormbench
-# -crash, non-zero exit on data loss). `make trace` runs the end-to-end
+# suite. Every stormbench target runs one entry of its suite table
+# (`stormbench -suite <name>`) and, unless `-json ''` is given, appends a
+# dated entry to that suite's section of BENCH_results.json. `make bench`
+# prints the data-plane microbenchmarks with allocation stats and appends
+# a dated before/after summary (suite fastpath). `make crash` runs the
+# WAL durability-cost sweep and the kill/replay scenarios (suite crash,
+# non-zero exit on data loss). `make trace` runs the end-to-end
 # tracing experiment. `make soak` runs the sustained multi-tenant churn
 # soak at full scale (500 tenants, dated entry in BENCH_results.json,
 # non-zero exit on any failed gate). `make backup` runs the
@@ -54,45 +56,45 @@ test:
 
 bench:
 	$(GO) test -run '^$$' -bench 'PDU|Encode|Writeback|Chain|GetRelease' -benchmem $(BENCH_PKGS)
-	$(GO) run ./cmd/stormbench -fastpath
+	$(GO) run ./cmd/stormbench -suite fastpath
 
 crash:
-	$(GO) run ./cmd/stormbench -crash
+	$(GO) run ./cmd/stormbench -suite crash
 
 trace:
-	$(GO) run ./cmd/stormbench -trace
+	$(GO) run ./cmd/stormbench -suite tracing
 
 # Full-scale sustained soak: 500 tenants with deploy/teardown churn,
 # p99/alloc/lock-wait telemetry, dated entry in BENCH_results.json.
 soak:
-	$(GO) run ./cmd/stormbench -soak
+	$(GO) run ./cmd/stormbench -suite soak
 
 # Short soak smoke for the pre-commit gate: small tenant count, short
 # measured window, results not recorded.
 soak-short:
-	$(GO) run ./cmd/stormbench -soak -soaktenants 96 -soakdur 1500ms -json ''
+	$(GO) run ./cmd/stormbench -suite soak -soaktenants 96 -soakdur 1500ms -json ''
 
 # Full backup suite: multi-round delta workload through the replication
 # box, dedup/convergence/scrub-repair gates, dated entry in
 # BENCH_results.json.
 backup:
-	$(GO) run ./cmd/stormbench -backup
+	$(GO) run ./cmd/stormbench -suite backup
 
 # Short backup smoke for the pre-commit gate: small image, results not
 # recorded.
 backup-short:
-	$(GO) run ./cmd/stormbench -backup -backupchunks 128 -backuprounds 3 -json ''
+	$(GO) run ./cmd/stormbench -suite backup -backupchunks 128 -backuprounds 3 -json ''
 
 # Full overload suite: WAL-full and CAS-full typed refusal and recovery,
 # 1-slow-of-3 brownout with breaker trip/recover, bounded heap growth;
 # dated entry in BENCH_results.json, non-zero exit on any failed gate.
 overload:
-	$(GO) run ./cmd/stormbench -overload
+	$(GO) run ./cmd/stormbench -suite overload
 
 # Short overload smoke for the pre-commit gate: fewer brownout writes,
 # results not recorded.
 overload-short:
-	$(GO) run ./cmd/stormbench -overload -overloadwrites 200 -json ''
+	$(GO) run ./cmd/stormbench -suite overload -overloadwrites 200 -json ''
 
 # Taxonomy lint: exhaustion/overload/draining sentinels on the data path
 # must carry an xerr class (xerr.New), not a bare errors.New — an untyped

@@ -4,113 +4,234 @@
 // cost model; the shapes (who wins, by roughly what factor, where the
 // crossovers fall) are the reproduction targets — see EXPERIMENTS.md.
 //
+// The evaluation is one ordered table of suites. Each suite prints its
+// report and appends one dated entry to its section of the results record
+// (BENCH_results.json), whose key is the suite's name; every other section
+// of the record is carried forward untouched. A suite whose gate fails
+// (data loss, a soak/backup/overload violation) stops the run with a
+// non-zero exit after its entry is recorded.
+//
+// Suites, in run order: chaos, crash, tracing, soak, backup, overload,
+// fastpath, scaling, routing (Figures 4 & 7), processing_by_size (5 & 8),
+// processing_by_threads (6 & 9), cpu_breakdown (10), postmark (11),
+// replication (13), table1 (Tables I & II), table3 (Table III), ablations.
+//
 // Usage:
 //
-//	stormbench                 # run everything
-//	stormbench -fig 4          # one figure (4,5,6,7,8,9,10,11,13)
-//	stormbench -table 1        # one table (1 or 3)
-//	stormbench -ablations      # the design-choice sweeps
-//	stormbench -fastpath       # data-plane microbenchmarks vs recorded baseline
-//	stormbench -scale          # throughput-vs-instances scale-out sweep
-//	stormbench -chaos          # failure-injection smoke suite (non-zero exit on data loss)
-//	stormbench -crash          # WAL durability cost + kill/replay suite (non-zero exit on data loss)
-//	stormbench -trace          # end-to-end tracing: slowest traces hop by hop + overhead
-//	stormbench -soak           # sustained multi-tenant soak with churn (non-zero exit on a failed gate)
-//	stormbench -soaktenants 500 -soakdur 10s   # soak scale and measured duration
-//	stormbench -backup         # content-addressed backup suite: dedup ratio, fan-out, scrub repair
-//	stormbench -backupchunks 512 -backuprounds 4   # backup image size and generations
-//	stormbench -overload       # overload suite: WAL/CAS exhaustion, breaker trip/recover (non-zero exit on a failed gate)
-//	stormbench -ops 200        # fio ops per point (accuracy vs. runtime)
-//	stormbench -json out.json  # machine-readable results (default BENCH_results.json)
+//	stormbench                         # every suite except soak
+//	stormbench -suite routing          # one suite
+//	stormbench -suite chaos,crash      # several, run in table order
+//	stormbench -suite soak -soaktenants 500 -soakdur 10s
+//	stormbench -suite backup -backupchunks 512 -backuprounds 4
+//	stormbench -suite overload -overloadwrites 400
+//	stormbench -ops 200 -repdur 4s     # fio ops per point, replication run length
+//	stormbench -json out.json          # results record (default BENCH_results.json; '' disables)
 //	stormbench -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
-// benchResults is the machine-readable mirror of the printed report: each
-// section holds the same rows the text tables render (per-workload
-// throughput plus full latency distributions), and Observability is the
-// obs registry snapshot accumulated across every run (per-stage latency
-// percentiles, counters, gauges).
-type benchResults struct {
-	FioOps              int                                  `json:"fio_ops"`
-	Routing             []experiments.RoutingRow             `json:"routing,omitempty"`
-	ProcessingBySize    []experiments.ProcessingRow          `json:"processing_by_size,omitempty"`
-	ProcessingByThreads []experiments.ProcessingRow          `json:"processing_by_threads,omitempty"`
-	CPUBreakdown        []experiments.CPURow                 `json:"cpu_breakdown,omitempty"`
-	Ablations           map[string][]experiments.AblationRow `json:"ablations,omitempty"`
-	Replication         *experiments.ReplicationRun          `json:"replication,omitempty"`
-	FastPath            []experiments.FastPathRun            `json:"fastpath,omitempty"`
-	Scaling             []experiments.ScalingRun             `json:"scaling,omitempty"`
-	Chaos               []experiments.ChaosResult            `json:"chaos,omitempty"`
-	Crash               []experiments.CrashRun               `json:"crash,omitempty"`
-	Tracing             []experiments.TracingRun             `json:"tracing,omitempty"`
-	Soak                []experiments.SoakRun                `json:"soak,omitempty"`
-	Backup              []experiments.BackupRun              `json:"backup,omitempty"`
-	Overload            []experiments.OverloadRun            `json:"overload,omitempty"`
-	Observability       obs.Snapshot                         `json:"observability"`
+// config carries the size flags the suites read.
+type config struct {
+	ops                        int
+	repDur, soakDur            time.Duration
+	soakTenants                int
+	backupChunks, backupRounds int
+	overloadWrites             int
+}
+
+// suite is one section of the evaluation. run prints the suite's report
+// and returns its record; a failed gate returns the record together with
+// the error, so the failing run is still recorded.
+type suite struct {
+	name  string // the -suite name and the record's section key
+	title string
+	ops   bool // the suite reads -ops; its entries note fio_ops
+	run   func(c config) (any, error)
+}
+
+var suites = []suite{
+	{"chaos", "Chaos: failure injection, reconnect, journal replay", false, func(config) (any, error) {
+		return printed(experiments.FormatChaos, func(r []experiments.ChaosResult) error { return lostData("chaos", r) })(experiments.RunChaosSuite())
+	}},
+	{"crash", "Crash durability: WAL fsync cost and kill/replay", false, func(config) (any, error) {
+		return printed(experiments.FormatCrash, func(r *experiments.CrashRun) error { return lostData("crash", r.Replay) })(experiments.RunCrashSuite())
+	}},
+	{"tracing", "Tracing: end-to-end trace breakdown and overhead", true, func(c config) (any, error) {
+		return printed(experiments.FormatTracing, func(r *experiments.TracingRun) error {
+			if r.OverheadPct > 5 {
+				fmt.Printf("WARNING: tracing overhead %.2f%% exceeds the 5%% budget\n", r.OverheadPct)
+			}
+			return nil // a warning, not a failed run
+		})(experiments.Tracing(c.ops))
+	}},
+	{"soak", "Soak: sustained multi-tenant churn under load", false, func(c config) (any, error) {
+		return printed(experiments.FormatSoak, func(r *experiments.SoakRun) error { return violated("soak", r.Violations) })(
+			experiments.RunSoak(experiments.SoakConfig{Tenants: c.soakTenants, Duration: c.soakDur}))
+	}},
+	{"backup", "Backup: content-addressed replication, dedup, scrub repair", false, func(c config) (any, error) {
+		return printed(experiments.FormatBackup, func(r *experiments.BackupRun) error { return violated("backup", r.Violations) })(
+			experiments.RunBackup(experiments.BackupConfig{Chunks: c.backupChunks, Rounds: c.backupRounds}))
+	}},
+	{"overload", "Overload: exhaustion, backpressure, circuit breakers", false, func(c config) (any, error) {
+		return printed(experiments.FormatOverload, func(r *experiments.OverloadRun) error { return violated("overload", r.Violations) })(
+			experiments.RunOverload(experiments.OverloadConfig{BrownoutWrites: c.overloadWrites}))
+	}},
+	{"fastpath", "Fast path: data-plane microbenchmarks (before → after)", false, func(config) (any, error) {
+		return printed(experiments.FormatFastPath, nil)(experiments.FastPath(), nil)
+	}},
+	{"scaling", "Scale-out: aggregate write throughput vs group size", false, func(config) (any, error) {
+		return printed(experiments.FormatScaling, nil)(experiments.Scaling(nil, 0, 0))
+	}},
+	{"routing", "Figures 4 & 7: traffic redirection overhead (LEGACY vs MB-FWD)", true, func(c config) (any, error) {
+		fmt.Println("paper: norm IOPS 0.93/0.86/0.83/0.82; norm latency 1.08/1.22/1.25/1.30")
+		return printed(experiments.FormatRoutingTable, nil)(experiments.RoutingOverhead(experiments.Options{FioOps: c.ops}))
+	}},
+	{"processing_by_size", "Figures 5 & 8: middle-box processing overhead by I/O size", true, func(c config) (any, error) {
+		fmt.Println("paper: active norm IOPS 1.01/1.00/1.06/1.14; active norm latency 0.98/1.01/0.94/0.89")
+		return printed(processingTable(false), nil)(experiments.ProcessingOverheadBySize(experiments.Options{FioOps: c.ops}))
+	}},
+	{"processing_by_threads", "Figures 6 & 9: middle-box processing overhead by thread count (16K)", true, func(c config) (any, error) {
+		fmt.Println("paper: active norm IOPS 1.06/1.10/1.27/1.39; active norm latency 0.95/0.91/0.79/0.70")
+		return printed(processingTable(true), nil)(experiments.ProcessingOverheadByThreads(experiments.Options{FioOps: c.ops / 2}))
+	}},
+	{"cpu_breakdown", "Figure 10: CPU utilization breakdown (FTP, AES-256)", false, func(config) (any, error) {
+		fmt.Println("paper: tenant-side 85%+24.4%; middle-box 25.1%+37.1%+25% (~20% total savings)")
+		return printed(experiments.FormatCPUTable, nil)(experiments.CPUBreakdown())
+	}},
+	{"postmark", "Figure 11: PostMark with tenant-side vs middle-box encryption", false, func(config) (any, error) {
+		fmt.Println("paper: middle-box improves every component by 23-34%")
+		return printed(experiments.FormatPostmarkTable, nil)(experiments.RunPostmarkComparison())
+	}},
+	{"replication", "Figure 13: MySQL stand-in TPS with replica failure", false, func(c config) (any, error) {
+		fmt.Println("paper: 3 replicas ~1.8x one store; slight drop after a replica fails; service continues")
+		return printed(experiments.FormatReplicationRun, nil)(experiments.RunReplication(c.repDur))
+	}},
+	{"table1", "Tables I & II: semantics reconstruction", false, func(config) (any, error) {
+		return printed(func(r *experiments.ReconstructionResult) string { return experiments.FormatReconstruction(r, 60) }, nil)(experiments.TableI())
+	}},
+	{"table3", "Table III: backdoor malware installation footprint", false, func(config) (any, error) {
+		steps, log, err := experiments.TableIII()
+		if err != nil {
+			return nil, err
+		}
+		fmt.Print(experiments.FormatMalware(steps, log))
+		return map[string]any{"steps": steps, "events": len(log), "file_ops": experiments.FileLevelOps(log)}, nil
+	}},
+	{"ablations", "Ablations (design choices)", true, runAblations},
+}
+
+// printed adapts an experiment's (result, error) to a suite run: it prints
+// the result with format and applies gate (nil for none).
+func printed[T any](format func(T) string, gate func(T) error) func(T, error) (any, error) {
+	return func(v T, err error) (any, error) {
+		if err != nil {
+			return nil, err
+		}
+		fmt.Print(format(v))
+		if gate != nil {
+			err = gate(v)
+		}
+		return v, err
+	}
+}
+
+func processingTable(byThreads bool) func([]experiments.ProcessingRow) string {
+	return func(rows []experiments.ProcessingRow) string {
+		return experiments.FormatProcessingTable(rows, byThreads)
+	}
+}
+
+// lostData is the chaos and crash gate: no scenario may lose data.
+func lostData(name string, rows []experiments.ChaosResult) error {
+	for _, r := range rows {
+		if r.DataLoss {
+			return fmt.Errorf("%s scenario %s lost data: %s", name, r.Scenario, r.Detail)
+		}
+	}
+	return nil
+}
+
+// violated is the soak, backup and overload gate: no violation recorded.
+func violated(name string, violations []string) error {
+	if len(violations) > 0 {
+		return fmt.Errorf("%s failed: %s", name, violations[0])
+	}
+	return nil
+}
+
+// runAblations runs the design-choice sweeps; a failed sweep is reported
+// and skipped rather than failing the run.
+func runAblations(c config) (any, error) {
+	out := make(map[string][]experiments.AblationRow)
+	sweep := func(key, title string) func([]experiments.AblationRow, error) {
+		return func(rows []experiments.AblationRow, err error) {
+			if err != nil {
+				fmt.Println(strings.ReplaceAll(key, "_", " "), "failed:", err)
+				return
+			}
+			fmt.Print(experiments.FormatAblation(title, rows))
+			out[key] = rows
+		}
+	}
+	sweep("gateway_placement", "gateway placement (16K, 1 thread)")(experiments.AblationGatewayPlacement(c.ops))
+	sweep("chain_length", "chain length (forward MBs on path)")(experiments.AblationChainLength(c.ops))
+	sweep("journal_capacity", "active-relay journal capacity (write-heavy)")(experiments.AblationJournalCapacity(c.ops / 2))
+	sweep("replica_factor", "replication factor (OLTP TPS)")(experiments.AblationReplicaFactor(c.repDur / 3))
+	return out, nil
 }
 
 func main() {
+	var all []string
+	for _, s := range suites {
+		if s.name != "soak" {
+			all = append(all, s.name)
+		}
+	}
+	var cfg config
 	var (
-		fig        = flag.Int("fig", 0, "run a single figure (4-11, 13); 0 = all")
-		table      = flag.Int("table", 0, "run a single table (1 or 3); 0 = all")
-		ablations  = flag.Bool("ablations", false, "run only the ablation sweeps")
-		fastpath   = flag.Bool("fastpath", false, "run only the data-plane microbenchmarks (before/after comparison)")
-		scale      = flag.Bool("scale", false, "run only the scale-out throughput-vs-instances sweep")
-		chaos      = flag.Bool("chaos", false, "run only the failure-injection smoke suite (exit non-zero on data loss)")
-		crash      = flag.Bool("crash", false, "run only the WAL durability-cost and kill/replay suite (exit non-zero on data loss)")
-		trace      = flag.Bool("trace", false, "run only the end-to-end tracing experiment (slowest traces hop by hop + overhead)")
-		soak       = flag.Bool("soak", false, "run only the sustained multi-tenant soak (exit non-zero on a failed gate)")
-		soakN      = flag.Int("soaktenants", 500, "steady tenant count for -soak")
-		soakDur    = flag.Duration("soakdur", 10*time.Second, "measured soak duration (half quiet, half churn)")
-		backup     = flag.Bool("backup", false, "run only the content-addressed backup suite (exit non-zero on a failed gate)")
-		backupN    = flag.Int("backupchunks", 512, "backup image size in chunks for -backup")
-		backupR    = flag.Int("backuprounds", 4, "backup generations for -backup")
-		overload   = flag.Bool("overload", false, "run only the overload/exhaustion suite (exit non-zero on a failed gate)")
-		overloadW  = flag.Int("overloadwrites", 400, "writes per measured brownout phase for -overload")
-		ops        = flag.Int("ops", 150, "fio operations per data point")
-		repDur     = flag.Duration("repdur", 3*time.Second, "replication run duration")
-		jsonPath   = flag.String("json", "BENCH_results.json", "write machine-readable results here (empty disables)")
+		names      = flag.String("suite", strings.Join(all, ","), "comma list of suites to run (soak runs only when named)")
+		jsonPath   = flag.String("json", "BENCH_results.json", "append each suite's dated entry to this results record (empty disables)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile here")
 		memProfile = flag.String("memprofile", "", "write a heap profile here on exit")
 	)
+	flag.IntVar(&cfg.ops, "ops", 150, "fio operations per data point")
+	flag.DurationVar(&cfg.repDur, "repdur", 3*time.Second, "replication run duration")
+	flag.IntVar(&cfg.soakTenants, "soaktenants", 500, "steady tenant count for the soak suite")
+	flag.DurationVar(&cfg.soakDur, "soakdur", 10*time.Second, "measured soak duration (half quiet, half churn)")
+	flag.IntVar(&cfg.backupChunks, "backupchunks", 512, "backup image size in chunks for the backup suite")
+	flag.IntVar(&cfg.backupRounds, "backuprounds", 4, "backup generations for the backup suite")
+	flag.IntVar(&cfg.overloadWrites, "overloadwrites", 400, "writes per measured brownout phase for the overload suite")
 	flag.Parse()
 	stop, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stormbench:", err)
-		os.Exit(1)
+	if err == nil {
+		err = run(*names, cfg, *jsonPath)
+		stop()
 	}
-	err = run(runCfg{
-		fig: *fig, table: *table, ablationsOnly: *ablations, fastpathOnly: *fastpath,
-		scaleOnly: *scale, chaosOnly: *chaos, crashOnly: *crash, traceOnly: *trace,
-		soakOnly: *soak, soakTenants: *soakN, soakDur: *soakDur,
-		backupOnly: *backup, backupChunks: *backupN, backupRounds: *backupR,
-		overloadOnly: *overload, overloadWrites: *overloadW,
-		ops: *ops, repDur: *repDur, jsonPath: *jsonPath,
-	})
-	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stormbench:", err)
 		os.Exit(1)
 	}
 }
 
-// startProfiles begins CPU profiling and arranges the heap snapshot; the
-// returned stop function flushes both (call it before exiting).
+// startProfiles starts the CPU profile; the returned stop ends it and
+// writes the heap profile (call it before exiting).
 func startProfiles(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
+	stopCPU := func() {}
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
@@ -120,351 +241,126 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 			f.Close()
 			return nil, err
 		}
-		cpuFile = f
+		stopCPU = func() { pprof.StopCPUProfile(); f.Close() }
 	}
 	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
+		stopCPU()
+		if memPath == "" {
+			return
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
+		f, err := os.Create(memPath)
+		if err == nil {
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
+			err = pprof.WriteHeapProfile(f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "memprofile:", err)
 		}
 	}, nil
 }
 
-// runCfg bundles the CLI selection for run.
-type runCfg struct {
-	fig, table                                                              int
-	ablationsOnly, fastpathOnly, scaleOnly, chaosOnly, crashOnly, traceOnly bool
-	soakOnly                                                                bool
-	soakTenants                                                             int
-	soakDur                                                                 time.Duration
-	backupOnly                                                              bool
-	backupChunks, backupRounds                                              int
-	overloadOnly                                                            bool
-	overloadWrites                                                          int
-	ops                                                                     int
-	repDur                                                                  time.Duration
-	jsonPath                                                                string
+// selectSuites resolves a comma list of suite names to table entries, in
+// table order.
+func selectSuites(names string) ([]suite, error) {
+	want := strings.Split(names, ",")
+	for _, n := range want {
+		if !slices.ContainsFunc(suites, func(s suite) bool { return s.name == n }) {
+			return nil, fmt.Errorf("unknown suite %q", n)
+		}
+	}
+	var out []suite
+	for _, s := range suites {
+		if slices.Contains(want, s.name) {
+			out = append(out, s)
+		}
+	}
+	return out, nil
 }
 
-func run(cfg runCfg) error {
-	fig, table := cfg.fig, cfg.table
-	ablationsOnly, fastpathOnly, scaleOnly := cfg.ablationsOnly, cfg.fastpathOnly, cfg.scaleOnly
-	chaosOnly, crashOnly, traceOnly, soakOnly := cfg.chaosOnly, cfg.crashOnly, cfg.traceOnly, cfg.soakOnly
-	ops, repDur, jsonPath := cfg.ops, cfg.repDur, cfg.jsonPath
-	opts := experiments.Options{FioOps: ops}
-	all := fig == 0 && table == 0 && !ablationsOnly && !fastpathOnly && !scaleOnly && !chaosOnly && !crashOnly && !traceOnly && !soakOnly && !cfg.backupOnly && !cfg.overloadOnly
-	results := &benchResults{FioOps: ops, Ablations: make(map[string][]experiments.AblationRow)}
-	if jsonPath != "" {
-		defer func() {
-			results.Observability = obs.Default().Snapshot()
-			if err := writeResults(jsonPath, results); err != nil {
-				fmt.Fprintln(os.Stderr, "stormbench: write results:", err)
-			} else {
-				fmt.Printf("\nresults written to %s\n", jsonPath)
+// run executes the selected suites in order, stopping at the first error,
+// and appends an entry for every suite that produced a record to the
+// results record at jsonPath (when set).
+func run(names string, c config, jsonPath string) error {
+	sel, err := selectSuites(names)
+	if err != nil {
+		return err
+	}
+	added := make(map[string]json.RawMessage)
+	for _, s := range sel {
+		fmt.Printf("\n================ %s ================\n", s.title)
+		rec, runErr := s.run(c)
+		if rec != nil {
+			fioOps := 0
+			if s.ops {
+				fioOps = c.ops
 			}
-		}()
-	}
-
-	section := func(title string) {
-		fmt.Printf("\n================ %s ================\n", title)
-	}
-
-	if chaosOnly || all {
-		section("Chaos: failure injection, reconnect, journal replay")
-		chaosRows, err := experiments.RunChaosSuite()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatChaos(chaosRows))
-		results.Chaos = chaosRows
-		for _, r := range chaosRows {
-			if r.DataLoss {
-				return fmt.Errorf("chaos scenario %s lost data: %s", r.Scenario, r.Detail)
+			if added[s.name], err = entry(time.Now().UTC().Format(time.RFC3339), fioOps, rec); err != nil {
+				return err
 			}
 		}
-		if chaosOnly {
-			return nil
+		if err = runErr; err != nil {
+			break
 		}
 	}
-
-	if crashOnly || all {
-		section("Crash durability: WAL fsync cost and kill/replay")
-		crashRun, err := experiments.RunCrashSuite()
-		if err != nil {
-			return err
-		}
-		crashRun.When = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.FormatCrash(crashRun))
-		results.Crash = []experiments.CrashRun{*crashRun}
-		for _, r := range crashRun.Replay {
-			if r.DataLoss {
-				return fmt.Errorf("crash scenario %s lost data: %s", r.Scenario, r.Detail)
-			}
-		}
-		if crashOnly {
-			return nil
+	if jsonPath != "" && len(added) > 0 {
+		if werr := writeResults(jsonPath, added); werr != nil {
+			fmt.Fprintln(os.Stderr, "stormbench: write results:", werr)
+		} else {
+			fmt.Printf("\nresults written to %s\n", jsonPath)
 		}
 	}
-
-	if traceOnly || all {
-		section("Tracing: end-to-end trace breakdown and overhead")
-		traceRun, err := experiments.Tracing(ops)
-		if err != nil {
-			return err
-		}
-		traceRun.When = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.FormatTracing(traceRun))
-		results.Tracing = []experiments.TracingRun{*traceRun}
-		if traceRun.OverheadPct > 5 {
-			fmt.Printf("WARNING: tracing overhead %.2f%% exceeds the 5%% budget\n", traceRun.OverheadPct)
-		}
-		if traceOnly {
-			return nil
-		}
-	}
-
-	if soakOnly {
-		section("Soak: sustained multi-tenant churn under load")
-		soakRun, err := experiments.RunSoak(experiments.SoakConfig{
-			Tenants:  cfg.soakTenants,
-			Duration: cfg.soakDur,
-		})
-		if err != nil {
-			return err
-		}
-		soakRun.When = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.FormatSoak(soakRun))
-		results.Soak = []experiments.SoakRun{*soakRun}
-		if len(soakRun.Violations) > 0 {
-			return fmt.Errorf("soak failed: %s", soakRun.Violations[0])
-		}
-		return nil
-	}
-
-	if cfg.backupOnly || all {
-		section("Backup: content-addressed replication, dedup, scrub repair")
-		backupRun, err := experiments.RunBackup(experiments.BackupConfig{
-			Chunks: cfg.backupChunks,
-			Rounds: cfg.backupRounds,
-		})
-		if err != nil {
-			return err
-		}
-		backupRun.When = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.FormatBackup(backupRun))
-		results.Backup = []experiments.BackupRun{*backupRun}
-		if len(backupRun.Violations) > 0 {
-			return fmt.Errorf("backup failed: %s", backupRun.Violations[0])
-		}
-		if cfg.backupOnly {
-			return nil
-		}
-	}
-
-	if cfg.overloadOnly || all {
-		section("Overload: exhaustion, backpressure, circuit breakers")
-		overloadRun, err := experiments.RunOverload(experiments.OverloadConfig{
-			BrownoutWrites: cfg.overloadWrites,
-		})
-		if err != nil {
-			return err
-		}
-		overloadRun.When = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.FormatOverload(overloadRun))
-		results.Overload = []experiments.OverloadRun{*overloadRun}
-		if len(overloadRun.Violations) > 0 {
-			return fmt.Errorf("overload failed: %s", overloadRun.Violations[0])
-		}
-		if cfg.overloadOnly {
-			return nil
-		}
-	}
-
-	if fastpathOnly || all {
-		section("Fast path: data-plane microbenchmarks (before → after)")
-		rows := experiments.FastPath()
-		fmt.Print(experiments.FormatFastPath(rows))
-		results.FastPath = []experiments.FastPathRun{{
-			When: time.Now().UTC().Format(time.RFC3339),
-			Rows: rows,
-		}}
-		if fastpathOnly {
-			return nil
-		}
-	}
-
-	if scaleOnly || all {
-		section("Scale-out: aggregate write throughput vs group size")
-		rows, err := experiments.Scaling(nil, 0, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatScaling(rows))
-		results.Scaling = []experiments.ScalingRun{{
-			When: time.Now().UTC().Format(time.RFC3339),
-			Rows: rows,
-		}}
-		if scaleOnly {
-			return nil
-		}
-	}
-
-	if ablationsOnly || all {
-		defer func() {
-			section("Ablations (design choices)")
-			if rows, err := experiments.AblationGatewayPlacement(ops); err == nil {
-				fmt.Print(experiments.FormatAblation("gateway placement (16K, 1 thread)", rows))
-				results.Ablations["gateway_placement"] = rows
-			} else {
-				fmt.Println("gateway placement failed:", err)
-			}
-			if rows, err := experiments.AblationChainLength(ops); err == nil {
-				fmt.Print(experiments.FormatAblation("chain length (forward MBs on path)", rows))
-				results.Ablations["chain_length"] = rows
-			} else {
-				fmt.Println("chain length failed:", err)
-			}
-			if rows, err := experiments.AblationJournalCapacity(ops / 2); err == nil {
-				fmt.Print(experiments.FormatAblation("active-relay journal capacity (write-heavy)", rows))
-				results.Ablations["journal_capacity"] = rows
-			} else {
-				fmt.Println("journal capacity failed:", err)
-			}
-			if rows, err := experiments.AblationReplicaFactor(repDur / 3); err == nil {
-				fmt.Print(experiments.FormatAblation("replication factor (OLTP TPS)", rows))
-				results.Ablations["replica_factor"] = rows
-			} else {
-				fmt.Println("replica factor failed:", err)
-			}
-		}()
-		if ablationsOnly {
-			return nil
-		}
-	}
-
-	if all || fig == 4 || fig == 7 {
-		section("Figures 4 & 7: traffic redirection overhead (LEGACY vs MB-FWD)")
-		fmt.Println("paper: norm IOPS 0.93/0.86/0.83/0.82; norm latency 1.08/1.22/1.25/1.30")
-		rows, err := experiments.RoutingOverhead(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatRoutingTable(rows))
-		results.Routing = rows
-	}
-
-	if all || fig == 5 || fig == 8 {
-		section("Figures 5 & 8: middle-box processing overhead by I/O size")
-		fmt.Println("paper: active norm IOPS 1.01/1.00/1.06/1.14; active norm latency 0.98/1.01/0.94/0.89")
-		rows, err := experiments.ProcessingOverheadBySize(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatProcessingTable(rows, false))
-		results.ProcessingBySize = rows
-	}
-
-	if all || fig == 6 || fig == 9 {
-		section("Figures 6 & 9: middle-box processing overhead by thread count (16K)")
-		fmt.Println("paper: active norm IOPS 1.06/1.10/1.27/1.39; active norm latency 0.95/0.91/0.79/0.70")
-		rows, err := experiments.ProcessingOverheadByThreads(experiments.Options{FioOps: ops / 2})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatProcessingTable(rows, true))
-		results.ProcessingByThreads = rows
-	}
-
-	if all || fig == 10 {
-		section("Figure 10: CPU utilization breakdown (FTP, AES-256)")
-		fmt.Println("paper: tenant-side 85%+24.4%; middle-box 25.1%+37.1%+25% (~20% total savings)")
-		rows, err := experiments.CPUBreakdown()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatCPUTable(rows))
-		results.CPUBreakdown = rows
-	}
-
-	if all || fig == 11 {
-		section("Figure 11: PostMark with tenant-side vs middle-box encryption")
-		fmt.Println("paper: middle-box improves every component by 23-34%")
-		cmp, err := experiments.RunPostmarkComparison()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatPostmarkTable(cmp))
-	}
-
-	if all || fig == 12 || fig == 13 {
-		section("Figure 13: MySQL stand-in TPS with replica failure")
-		fmt.Println("paper: 3 replicas ~1.8x one store; slight drop after a replica fails; service continues")
-		rep, err := experiments.RunReplication(repDur)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatReplicationRun(rep))
-		results.Replication = rep
-	}
-
-	if all || table == 1 {
-		section("Tables I & II: semantics reconstruction")
-		res, err := experiments.TableI()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatReconstruction(res, 60))
-	}
-
-	if all || table == 3 {
-		section("Table III: backdoor malware installation footprint")
-		steps, log, err := experiments.TableIII()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatMalware(steps, log))
-	}
-	return nil
+	return err
 }
 
-// writeResults marshals the collected rows to path. The fastpath and
-// scaling sections are dated histories: a new run appends to the entries
-// already in the file, and runs that skipped those suites (e.g. -fig 4)
-// carry the existing entries forward rather than erasing them.
-func writeResults(path string, r *benchResults) error {
-	if old, err := os.ReadFile(path); err == nil {
-		var prev struct {
-			FastPath []experiments.FastPathRun `json:"fastpath"`
-			Scaling  []experiments.ScalingRun  `json:"scaling"`
-			Crash    []experiments.CrashRun    `json:"crash"`
-			Tracing  []experiments.TracingRun  `json:"tracing"`
-			Soak     []experiments.SoakRun     `json:"soak"`
-			Backup   []experiments.BackupRun   `json:"backup"`
-			Overload []experiments.OverloadRun `json:"overload"`
-		}
-		if json.Unmarshal(old, &prev) == nil {
-			r.FastPath = append(prev.FastPath, r.FastPath...)
-			r.Scaling = append(prev.Scaling, r.Scaling...)
-			r.Crash = append(prev.Crash, r.Crash...)
-			r.Tracing = append(prev.Tracing, r.Tracing...)
-			r.Soak = append(prev.Soak, r.Soak...)
-			r.Backup = append(prev.Backup, r.Backup...)
-			r.Overload = append(prev.Overload, r.Overload...)
-		}
+// entry renders one dated history entry: "when", then "fio_ops" for suites
+// that read -ops, then the record's own fields (or "rows", for a record
+// that is a list).
+func entry(when string, fioOps int, rec any) (json.RawMessage, error) {
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
+	if body[0] != '{' {
+		body = append(append([]byte(`{"rows":`), body...), '}')
+	}
+	head := fmt.Sprintf(`{"when":%q`, when) // RFC3339 text: %q quotes it as JSON
+	if fioOps > 0 {
+		head += fmt.Sprintf(`,"fio_ops":%d`, fioOps)
+	}
+	if len(body) > 2 {
+		head += ","
+	}
+	return append([]byte(head), body[1:]...), nil
+}
+
+// writeResults appends each added entry to its section's history in the
+// record at path, creating the section (or the file) when absent. Sections
+// are written in key order; the values of the others are carried forward
+// unchanged.
+func writeResults(path string, added map[string]json.RawMessage) error {
+	record := make(map[string]json.RawMessage)
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &record); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	for key, e := range added {
+		var history []json.RawMessage
+		if record[key] != nil {
+			if err := json.Unmarshal(record[key], &history); err != nil {
+				return fmt.Errorf("%s: section %q is not a dated history: %w", path, key, err)
+			}
+		}
+		merged, err := json.Marshal(append(history, e))
+		if err != nil {
+			return err
+		}
+		record[key] = merged
+	}
+	data, err := json.MarshalIndent(record, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -41,17 +41,6 @@ func NewCacheDisk(dev Device, capacityBytes int) *CacheDisk {
 	}
 }
 
-// HitRatio returns hits/(hits+misses), or 0 before any read.
-func (d *CacheDisk) HitRatio() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	total := d.hits + d.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(d.hits) / float64(total)
-}
-
 // Hits returns the number of block reads served from the cache.
 func (d *CacheDisk) Hits() int64 {
 	d.mu.Lock()

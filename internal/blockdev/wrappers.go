@@ -44,11 +44,6 @@ func NewLatencyDisk(dev Device, model ServiceModel) *LatencyDisk {
 	return &LatencyDisk{dev: dev, read: model, write: model}
 }
 
-// NewLatencyDiskRW wraps dev with separate read and write service models.
-func NewLatencyDiskRW(dev Device, read, write ServiceModel) *LatencyDisk {
-	return &LatencyDisk{dev: dev, read: read, write: write}
-}
-
 // NewLatencyDiskQueued wraps dev with separate read and write models and a
 // bounded queue of concurrent medium accesses; excess requests wait.
 func NewLatencyDiskQueued(dev Device, read, write ServiceModel, concurrency int) *LatencyDisk {
@@ -78,7 +73,7 @@ func (d *LatencyDisk) Blocks() uint64 { return d.dev.Blocks() }
 func (d *LatencyDisk) ReadAt(p []byte, lba uint64) error {
 	release := d.acquire()
 	defer release()
-	sleep(d.read.Cost(len(p)))
+	simtime.Sleep(d.read.Cost(len(p)))
 	return d.dev.ReadAt(p, lba)
 }
 
@@ -86,7 +81,7 @@ func (d *LatencyDisk) ReadAt(p []byte, lba uint64) error {
 func (d *LatencyDisk) WriteAt(p []byte, lba uint64) error {
 	release := d.acquire()
 	defer release()
-	sleep(d.write.Cost(len(p)))
+	simtime.Sleep(d.write.Cost(len(p)))
 	return d.dev.WriteAt(p, lba)
 }
 
@@ -95,10 +90,6 @@ func (d *LatencyDisk) Flush() error { return d.dev.Flush() }
 
 // Close implements Device.
 func (d *LatencyDisk) Close() error { return d.dev.Close() }
-
-func sleep(d time.Duration) {
-	simtime.Sleep(d)
-}
 
 // FaultDisk wraps a Device and fails all accesses once tripped; the
 // replication experiments use it to take one replica offline mid-run

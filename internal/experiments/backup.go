@@ -37,15 +37,14 @@ type BackupConfig struct {
 	ModifiedPct int
 }
 
-// BackupRun is one dated backup-suite result.
+// BackupRun is one backup-suite result.
 type BackupRun struct {
-	When        string `json:"when"`
-	Backends    int    `json:"backends"`
-	Quorum      int    `json:"quorum"`
-	ChunkBytes  int    `json:"chunk_bytes"`
-	Chunks      int    `json:"chunks"`
-	Rounds      int    `json:"rounds"`
-	ModifiedPct int    `json:"modified_pct"`
+	Backends    int `json:"backends"`
+	Quorum      int `json:"quorum"`
+	ChunkBytes  int `json:"chunk_bytes"`
+	Chunks      int `json:"chunks"`
+	Rounds      int `json:"rounds"`
+	ModifiedPct int `json:"modified_pct"`
 
 	// Dedup: logical bytes ingested vs chunk bytes actually stored, per
 	// backend (identical across backends by construction).

@@ -39,9 +39,8 @@ type DurabilityRow struct {
 	Fsyncs int64 `json:"fsyncs"`
 }
 
-// CrashRun is one dated crash-suite execution for the results history.
+// CrashRun is one crash-suite execution for the results history.
 type CrashRun struct {
-	When       string          `json:"when"`
 	Durability []DurabilityRow `json:"durability"`
 	// Replay holds the kill/replay verdicts, one per crash seed; any
 	// DataLoss=true fails the run.

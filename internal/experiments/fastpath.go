@@ -18,13 +18,6 @@ import (
 	"repro/internal/target"
 )
 
-// FastPathRun is one dated execution of the fast-path suite; stormbench
-// appends these to BENCH_results.json so the trajectory across PRs is kept.
-type FastPathRun struct {
-	When string        `json:"when"`
-	Rows []FastPathRow `json:"rows"`
-}
-
 // FastPathRow is one data-plane microbenchmark result next to the recorded
 // pre-optimization baseline (measured on the same harness before the pooled
 // buffers, vectored PDU sends, and indexed write-back dispatch landed).

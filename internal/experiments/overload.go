@@ -41,12 +41,11 @@ type OverloadConfig struct {
 	BrownoutWrites int
 }
 
-// OverloadRun is one dated overload-suite result.
+// OverloadRun is one overload-suite result.
 type OverloadRun struct {
-	When     string `json:"when"`
-	Backends int    `json:"backends"`
-	Quorum   int    `json:"quorum"`
-	Chunks   int    `json:"chunks"`
+	Backends int `json:"backends"`
+	Quorum   int `json:"quorum"`
+	Chunks   int `json:"chunks"`
 
 	// WAL-full: a dispatch journal hitting its byte quota mid-workload.
 	WALWritesAdmitted int  `json:"wal_writes_admitted"`

@@ -12,13 +12,6 @@ import (
 	"repro/internal/policy"
 )
 
-// ScalingRun is one dated execution of the scale-out sweep; stormbench
-// appends these to BENCH_results.json so the trajectory across PRs is kept.
-type ScalingRun struct {
-	When string       `json:"when"`
-	Rows []ScalingRow `json:"rows"`
-}
-
 // ScalingRow is the aggregate write throughput of a fixed flow population
 // pushed through an encryption middle-box group of a given size. The
 // per-instance copy path is deliberately the bottleneck (one copy thread,

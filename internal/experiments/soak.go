@@ -50,9 +50,8 @@ type SoakConfig struct {
 	MutexWaitPerOpBudget time.Duration
 }
 
-// SoakRun is one dated soak result.
+// SoakRun is one soak result.
 type SoakRun struct {
-	When         string        `json:"when"`
 	Tenants      int           `json:"tenants"`
 	ChurnTenants int           `json:"churn_tenants"`
 	Hosts        int           `json:"hosts"`

@@ -246,10 +246,20 @@ func FormatMalware(steps []MalwareStep, log []semantic.Event) string {
 		fmt.Fprintf(&b, "  Step %d  %s\n", s.Step, s.Action)
 	}
 	fmt.Fprintf(&b, "Monitor observations (%d events); file-level operations:\n", len(log))
-	for _, e := range log {
-		if e.Type == semantic.EvCreate || e.Type == semantic.EvDelete || e.Type == semantic.EvRename {
-			fmt.Fprintf(&b, "  %s\n", e.String())
-		}
+	for _, e := range FileLevelOps(log) {
+		fmt.Fprintf(&b, "  %s\n", e.String())
 	}
 	return b.String()
+}
+
+// FileLevelOps keeps the creates, deletes and renames of a monitor log —
+// the rows Table III lists.
+func FileLevelOps(log []semantic.Event) []semantic.Event {
+	var out []semantic.Event
+	for _, e := range log {
+		if e.Type == semantic.EvCreate || e.Type == semantic.EvDelete || e.Type == semantic.EvRename {
+			out = append(out, e)
+		}
+	}
+	return out
 }

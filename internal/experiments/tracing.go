@@ -31,9 +31,8 @@ type HopBudgetRow struct {
 	SharePct float64       `json:"share_pct"`
 }
 
-// TracingRun is one dated tracing-experiment result.
+// TracingRun is one tracing-experiment result.
 type TracingRun struct {
-	When         string         `json:"when"`
 	Ops          int            `json:"ops"`
 	BaselineIOPS float64        `json:"baseline_iops"`
 	TracedIOPS   float64        `json:"traced_iops"`

@@ -88,19 +88,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return h.percentileLocked(p)
 }
 
-// Quantiles returns the given percentiles (0-100) under a single lock and
-// sort — the one helper every caller should use instead of per-caller
-// percentile math.
-func (h *Histogram) Quantiles(ps ...float64) []time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]time.Duration, len(ps))
-	for i, p := range ps {
-		out[i] = h.percentileLocked(p)
-	}
-	return out
-}
-
 // sortedLocked returns the samples in ascending order, (re)building the
 // scratch copy only when new samples arrived since the last query.
 func (h *Histogram) sortedLocked() []time.Duration {

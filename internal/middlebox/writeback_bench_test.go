@@ -100,33 +100,3 @@ func BenchmarkWritebackCoalesce(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(counting.Writes())/float64(b.N), "applies/write")
 }
-
-// Full-chain benchmarks: VM initiator → active relay (journal + write-back)
-// → backend target over in-process pipes, the exact per-command path the
-// paper's Figures 9–10 measure.
-func BenchmarkChainWrite4K(b *testing.B) {
-	sess := relayTestbed(b, Active)
-	buf := make([]byte, 4096)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := sess.Write(uint64((i%64)*8), buf, 512); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChainRead4K(b *testing.B) {
-	sess := relayTestbed(b, Active)
-	buf := make([]byte, 4096)
-	if err := sess.Write(0, buf, 512); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.ReadInto(buf, 0, 8, 512); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

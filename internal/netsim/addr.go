@@ -53,9 +53,6 @@ func (a Addr) Network() string { return a.Net.String() }
 // String implements net.Addr.
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
 
-// HostPort returns the ip:port form without the network name.
-func (a Addr) HostPort() string { return a.String() }
-
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.IP == "" && a.Port == 0 && a.Net == 0 }
 

@@ -24,6 +24,10 @@ type Route struct {
 	// Hops is the forward-direction traversal; the reverse direction uses
 	// the same stations in reverse order.
 	Hops []Hop
+	// OnClose, when set, runs once when the connection closes (or when the
+	// dial fails after routing), so the forwarding plane can release the
+	// per-flow state it bound while routing.
+	OnClose func()
 }
 
 // Conn is a simulated connection. It implements net.Conn. Data written on
@@ -115,9 +119,6 @@ func (c *Conn) Route() *Route { return c.route }
 // TraceTable returns the connection's out-of-band trace carrier, shared
 // by both endpoints (obs.TraceCarrier).
 func (c *Conn) TraceTable() *obs.TraceTable { return c.trace }
-
-// BytesWritten returns the number of payload bytes written on this side.
-func (c *Conn) BytesWritten() int64 { return c.out.bytes() }
 
 // SetDeadline implements net.Conn (read side only; writes never block).
 func (c *Conn) SetDeadline(t time.Time) error {

@@ -202,6 +202,9 @@ func (f *Fabric) dial(src *Endpoint, dst Addr) (*Conn, error) {
 
 	ln := f.FindListener(route.Terminate)
 	if ln == nil {
+		if route.OnClose != nil {
+			route.OnClose()
+		}
 		return nil, fmt.Errorf("%w: %v (dialed %v)", ErrConnRefused, route.Terminate, dst)
 	}
 
@@ -262,13 +265,15 @@ func (f *Fabric) dial(src *Endpoint, dst Addr) (*Conn, error) {
 	}
 	dialSide, acceptSide := newConnPair(f.model, route, chargeFor(route.Hops), chargeFor(revHops))
 	track := &connTrack{
-		fabric: f,
-		aHost:  src.host.name,
-		bHost:  ln.endpoint.host.name,
-		dial:   dialSide,
+		fabric:  f,
+		aHost:   src.host.name,
+		bHost:   ln.endpoint.host.name,
+		dial:    dialSide,
+		onClose: route.OnClose,
 	}
 	extra, throttles, err := f.admitConn(track)
 	if err != nil {
+		track.remove()
 		return nil, err
 	}
 	dialSide.track, acceptSide.track = track, track

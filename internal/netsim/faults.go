@@ -31,6 +31,8 @@ type connTrack struct {
 	bHost  string
 	dial   *Conn
 	once   sync.Once
+	// onClose is the route's OnClose, run once the track retires.
+	onClose func()
 }
 
 func (t *connTrack) remove() {
@@ -41,6 +43,9 @@ func (t *connTrack) remove() {
 		t.fabric.mu.Lock()
 		delete(t.fabric.tracks, t)
 		t.fabric.mu.Unlock()
+		if t.onClose != nil {
+			t.onClose()
+		}
 	})
 }
 

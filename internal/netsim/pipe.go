@@ -4,12 +4,12 @@ import (
 	"errors"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/faults"
+	"repro/internal/simtime"
 )
 
 // ErrTimeout is returned by reads that exceed the configured deadline.
@@ -43,9 +43,8 @@ type framePipe struct {
 	extra       time.Duration         // fault-injected added delay per frame
 	throttles   []*faults.SlowBackend // host bandwidth caps; each frame draws its bytes
 
-	wake    chan struct{} // buffered(1): new data / close / deadline change
-	charge  func(time.Duration)
-	bytesIn int64
+	wake   chan struct{} // buffered(1): new data / close / deadline change
+	charge func(time.Duration)
 }
 
 func newFramePipe(cost PathCost, mtu int, charge func(time.Duration)) *framePipe {
@@ -121,7 +120,6 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 		p.frames = append(p.frames, frame{at: p.lastArrival.Add(p.cost.Propagation + p.extra), data: fb.B, buf: fb})
 		remaining -= n
 	}
-	p.bytesIn += int64(total)
 	p.mu.Unlock()
 	if p.charge != nil {
 		p.charge(processing)
@@ -183,10 +181,8 @@ func (p *framePipe) read(b []byte) (int, error) {
 	}
 }
 
-// sleep waits for d, bounded by the deadline, interruptible by wake-ups.
-// The final stretch spins (yielding) for microsecond precision: container
-// kernels round timer sleeps up to a coarse tick that would otherwise
-// swamp the modelled path costs.
+// sleep waits for d, bounded by the deadline, interruptible by wake-ups,
+// with simtime's microsecond precision.
 func (p *framePipe) sleep(d time.Duration, deadline time.Time) error {
 	if !deadline.IsZero() {
 		until := time.Until(deadline)
@@ -197,25 +193,7 @@ func (p *framePipe) sleep(d time.Duration, deadline time.Time) error {
 			d = until
 		}
 	}
-	const coarse = 2 * time.Millisecond
-	target := time.Now().Add(d)
-	if d > coarse {
-		t := time.NewTimer(d - coarse)
-		select {
-		case <-t.C:
-		case <-p.wake:
-			t.Stop()
-			return nil
-		}
-	}
-	for time.Now().Before(target) {
-		select {
-		case <-p.wake:
-			return nil
-		default:
-			runtime.Gosched()
-		}
-	}
+	simtime.SleepWake(d, p.wake)
 	return nil
 }
 
@@ -272,10 +250,4 @@ func (p *framePipe) setDeadline(t time.Time) {
 	p.deadline = t
 	p.mu.Unlock()
 	p.signal()
-}
-
-func (p *framePipe) bytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytesIn
 }

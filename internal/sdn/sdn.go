@@ -81,6 +81,9 @@ type Chain struct {
 // MB names the selected member instance.
 type Step struct {
 	MB MBSpec
+	// Group is the select group the step was resolved through (nil for a
+	// fixed position); the flow stays bound in it until Forget.
+	Group *vswitch.Group
 }
 
 // groupEntry tracks a shared select group and the chains referencing it.
@@ -408,7 +411,7 @@ func (c *Controller) Walk(flow netsim.Flow, startHost, startStation string) []St
 			Host:      act.Host,
 			Mode:      act.Mode,
 			RelayAddr: act.TerminateAddr,
-		}})
+		}, Group: act.Group})
 		if act.Mode == vswitch.ModeTerminate {
 			return steps
 		}

@@ -191,20 +191,6 @@ func (r *Reconstructor) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// EventsSince returns events with Seq > seq — the tenant's periodic log
-// retrieval interface (each poll passes the last sequence it saw).
-func (r *Reconstructor) EventsSince(seq uint64) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Event
-	for _, e := range r.events {
-		if e.Seq > seq {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // PathOf resolves a data block to its owning file path, exercising the
 // fast lookup table (the paper's hash table for IDS-style queries).
 func (r *Reconstructor) PathOf(fsBlock uint64) (string, bool) {

@@ -20,16 +20,38 @@ const coarse = 2 * time.Millisecond
 // (yielding the processor each iteration) for the remainder, so other
 // goroutines keep running.
 func Sleep(d time.Duration) {
+	SleepWake(d, nil)
+}
+
+// SleepWake is Sleep cut short by wake: it returns true as soon as a value
+// arrives on wake, false once d has elapsed. A nil wake never fires.
+func SleepWake(d time.Duration, wake <-chan struct{}) bool {
 	if d <= 0 {
-		return
+		return false
 	}
 	start := time.Now()
 	if d > coarse {
-		time.Sleep(d - coarse)
+		if wake == nil {
+			time.Sleep(d - coarse)
+		} else {
+			t := time.NewTimer(d - coarse)
+			select {
+			case <-t.C:
+			case <-wake:
+				t.Stop()
+				return true
+			}
+		}
 	}
 	for time.Since(start) < d {
-		runtime.Gosched()
+		select {
+		case <-wake:
+			return true
+		default:
+			runtime.Gosched()
+		}
 	}
+	return false
 }
 
 // SleepUntil pauses until the deadline t (no-op when t has passed).

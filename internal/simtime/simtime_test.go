@@ -73,3 +73,25 @@ func TestSleepUntil(t *testing.T) {
 	}
 	SleepUntil(time.Now().Add(-time.Second)) // past deadline: no-op
 }
+
+func TestSleepWake(t *testing.T) {
+	wake := make(chan struct{}, 1)
+	start := time.Now()
+	if SleepWake(200*time.Microsecond, wake) {
+		t.Error("SleepWake reported a wake that never came")
+	}
+	if time.Since(start) < 200*time.Microsecond {
+		t.Error("SleepWake returned early")
+	}
+	// A pending wake cuts both the coarse sleep and the spin tail short.
+	for _, d := range []time.Duration{time.Second, time.Millisecond} {
+		wake <- struct{}{}
+		start = time.Now()
+		if !SleepWake(d, wake) || len(wake) != 0 {
+			t.Errorf("SleepWake(%v) did not take the pending wake", d)
+		}
+		if el := time.Since(start); d == time.Second && el > d/2 {
+			t.Errorf("SleepWake(%v) woke after %v", d, el)
+		}
+	}
+}

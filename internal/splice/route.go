@@ -76,6 +76,7 @@ func (p *Plane) walkChain(dep *Deployment, srcAddr, dialedDst netsim.Addr, host,
 	}
 	cur := host
 	steps := p.ctrl.Walk(instFlow, host, station)
+	release := groupRelease(steps, instFlow)
 	for _, st := range steps {
 		switch st.MB.Mode {
 		case vswitch.ModeForward:
@@ -103,8 +104,12 @@ func (p *Plane) walkChain(dep *Deployment, srcAddr, dialedDst netsim.Addr, host,
 				DialedDst: dialedDst,
 				NextHop:   netsim.Addr{Net: netsim.InstanceNet, IP: dep.Egress.InstanceIP, Port: iscsiPort},
 				Hops:      hops,
+				OnClose:   release,
 			}, nil
 		default:
+			if release != nil {
+				release()
+			}
 			return nil, fmt.Errorf("splice: chain %q has unknown steering mode %v", dep.ID, st.MB.Mode)
 		}
 	}
@@ -118,6 +123,9 @@ func (p *Plane) walkChain(dep *Deployment, srcAddr, dialedDst netsim.Addr, host,
 	hops = append(hops, netsim.Hop{Kind: netsim.HopForward, Host: dep.Egress.Host, Stage: obs.StageGatewayEgress})
 	targetHost := p.fabric.HostByIP(netsim.StorageNet, dep.TargetAddr.IP)
 	if targetHost == nil {
+		if release != nil {
+			release()
+		}
 		return nil, fmt.Errorf("splice: deployment %q target %v is on no host", dep.ID, dep.TargetAddr)
 	}
 	if targetHost.Name() != dep.Egress.Host {
@@ -135,7 +143,28 @@ func (p *Plane) walkChain(dep *Deployment, srcAddr, dialedDst netsim.Addr, host,
 		SrcAsSeen: netsim.Addr{Net: netsim.StorageNet, IP: egressIP, Port: srcAddr.Port},
 		DialedDst: dialedDst,
 		Hops:      hops,
+		OnClose:   release,
 	}, nil
+}
+
+// groupRelease returns the function that drops flow's bindings in the
+// select groups the walk resolved it through, so a closed connection
+// stops counting toward least-bound placement; nil when none did.
+func groupRelease(steps []sdn.Step, flow netsim.Flow) func() {
+	var groups []*vswitch.Group
+	for _, st := range steps {
+		if st.Group != nil {
+			groups = append(groups, st.Group)
+		}
+	}
+	if len(groups) == 0 {
+		return nil
+	}
+	return func() {
+		for _, g := range groups {
+			g.Forget(flow)
+		}
+	}
 }
 
 func (p *Plane) isProtected(ip string) bool {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -602,5 +603,63 @@ func TestAtomicAttachLockPruning(t *testing.T) {
 
 	if n := tb.plane.attachLockCount(); n != 0 {
 		t.Fatalf("attach-lock registry leaked %d entries after churn", n)
+	}
+}
+
+func TestClosedConnectionsReleaseGroupBindings(t *testing.T) {
+	tb := newTestbed(t)
+	d := tb.deployment(sdn.MBSpec{Name: "grp", Mode: vswitch.ModeForward, Instances: []sdn.Instance{
+		{Name: "mbA", Host: "mbhost1"},
+		{Name: "mbB", Host: "mbhost1"},
+	}})
+	if err := tb.plane.Deploy(d); err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	g := tb.plane.Controller().Group("grp")
+	if g == nil {
+		t.Fatal("no select group installed")
+	}
+
+	const n = 8
+	err := tb.plane.AtomicAttach(d, func() error {
+		var conns []net.Conn
+		for i := 0; i < n; i++ {
+			c, err := tb.vm.DialAddr(d.TargetAddr)
+			if err != nil {
+				return err
+			}
+			conns = append(conns, c)
+		}
+		if got := len(g.Bindings()); got != n {
+			t.Errorf("%d bindings with %d live connections", got, n)
+		}
+		for st, load := range g.Load() {
+			if load != n/2 {
+				t.Errorf("member %s holds %d of %d flows, want an even split", st, load, n)
+			}
+		}
+		// Close concurrently with fresh dials that churn through the group.
+		var wg sync.WaitGroup
+		for _, c := range conns {
+			wg.Add(1)
+			go func(c net.Conn) {
+				defer wg.Done()
+				c.Close()
+				churn, err := tb.vm.DialAddr(d.TargetAddr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				churn.Close()
+			}(c)
+		}
+		wg.Wait()
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("AtomicAttach: %v", err)
+	}
+	if b := g.Bindings(); len(b) != 0 {
+		t.Fatalf("closed connections left %d bindings: %v", len(b), b)
 	}
 }

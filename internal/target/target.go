@@ -71,11 +71,6 @@ func WithObs(reg *obs.Registry, stage string) Option {
 	}
 }
 
-// WithInquiry overrides the standard INQUIRY data served for every LUN.
-func WithInquiry(d scsi.InquiryData) Option {
-	return func(s *Server) { s.inquiry = d }
-}
-
 // WithParams overrides the operational parameters the server offers during
 // login negotiation (burst windows, immediate data, MC/S connection bound).
 // Each session still converges on the RFC result functions against what the

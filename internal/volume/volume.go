@@ -53,9 +53,6 @@ func (v *Volume) Device() blockdev.Device { return v.dev }
 // replica error).
 func (v *Volume) InjectFault(err error) { v.fault.Trip(err) }
 
-// HealFault clears an injected fault so the volume serves I/O again.
-func (v *Volume) HealFault() { v.fault.Heal() }
-
 // Service is the cloud's volume manager.
 type Service struct {
 	iqnPrefix   string

@@ -204,17 +204,6 @@ func (g *Group) loadLocked() map[string]int {
 	return load
 }
 
-// Stations returns the member station names in order.
-func (g *Group) Stations() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, len(g.members))
-	for i, m := range g.members {
-		out[i] = m.Station
-	}
-	return out
-}
-
 func (g *Group) memberLocked(station string) *GroupMember {
 	for i := range g.members {
 		if g.members[i].Station == station {
